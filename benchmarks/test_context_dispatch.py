@@ -8,7 +8,7 @@ deopts on the second, re-speculates on the lub, deopts again and settles on
 generic boxed code; contextual dispatch gives each context its own typed,
 unboxed version selected once at entry.
 
-Both engines (threaded and reference loops) must produce bit-identical
+Both engines (codegen and reference loops) must produce bit-identical
 dispatch signatures *within* each ctxdispatch setting: version selection is
 a policy decision made by the VM, not the executor, so only wall-clock may
 differ between engines.
@@ -32,7 +32,7 @@ CTX_KERNELS = {
 }
 
 
-def _time_ctx(name, ctxdispatch, threaded, n, warmup=3, iters=7):
+def _time_ctx(name, ctxdispatch, engine, n, warmup=3, iters=7):
     """Time one workload under the given dispatch/engine configuration.
 
     Returns (best wall-clock, result, dispatch signature, snapshot).
@@ -40,7 +40,7 @@ def _time_ctx(name, ctxdispatch, threaded, n, warmup=3, iters=7):
     w = REGISTRY.get(name)
     cfg = Config(compile_threshold=1, osr_threshold=50)
     cfg.ctxdispatch = ctxdispatch
-    cfg.threaded_dispatch = threaded
+    cfg.engine = engine
     # dispatched OSR registers the hot loop's live context as entry-dispatch
     # evidence, which settles these workloads into a different (deopt-free,
     # single-version) equilibrium — pin it off so this bench keeps measuring
@@ -67,8 +67,8 @@ def test_context_dispatch_speedup(bench_scale):
     payload = {"scale": bench_scale, "kernels": {}}
     for name, (n_test, n_full) in CTX_KERNELS.items():
         n = n_full if bench_scale == "full" else n_test
-        c_time, c_res, c_sig, c_snap = _time_ctx(name, ctxdispatch=True, threaded=True, n=n)
-        g_time, g_res, g_sig, g_snap = _time_ctx(name, ctxdispatch=False, threaded=True, n=n)
+        c_time, c_res, c_sig, c_snap = _time_ctx(name, ctxdispatch=True, engine="codegen", n=n)
+        g_time, g_res, g_sig, g_snap = _time_ctx(name, ctxdispatch=False, engine="codegen", n=n)
         speedup = g_time / c_time
         rows.append((name, speedup, "n=%d versions=%d" % (n, c_snap["ctx_compiles"])))
         payload["kernels"][name] = {
@@ -89,10 +89,10 @@ def test_context_dispatch_speedup(bench_scale):
 
         # engine equivalence within each setting: the reference loops make
         # the same policy decisions, so the signatures are bit-identical
-        _, r_res, cr_sig, _ = _time_ctx(name, ctxdispatch=True, threaded=False, n=n)
+        _, r_res, cr_sig, _ = _time_ctx(name, ctxdispatch=True, engine="ref", n=n)
         assert r_res == c_res
         assert cr_sig == c_sig, "%s: engines diverged under ctxdispatch" % name
-        _, r_res, gr_sig, _ = _time_ctx(name, ctxdispatch=False, threaded=False, n=n)
+        _, r_res, gr_sig, _ = _time_ctx(name, ctxdispatch=False, engine="ref", n=n)
         assert r_res == g_res
         assert gr_sig == g_sig, "%s: engines diverged under generic dispatch" % name
 

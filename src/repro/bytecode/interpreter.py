@@ -134,10 +134,10 @@ def run(
     line *batches* — ops retire into a local accumulator that is settled at
     control-flow edges and flushed once on exit, so the totals the cost
     model reads are exactly those of the per-op reference loop.  Set
-    ``RERPO_REF_EXEC=1`` (or ``Config.threaded_dispatch=False``) to run
+    ``RERPO_REF_EXEC=1`` (or ``Config.engine="ref"``) to run
     :func:`run_ref` instead for differential testing.
     """
-    if not vm.config.threaded_dispatch:
+    if vm.config.engine == "ref":
         return run_ref(code, env, vm, stack, pc, closure)
     if stack is None:
         stack = []

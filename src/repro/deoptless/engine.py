@@ -152,7 +152,7 @@ def deoptless_compile(vm, fs: FrameState, reason: DeoptReason, ctx: DeoptContext
         )
         graph = builder.build()
         optimize(graph, vm.config, vm=vm)
-        ncode = lower(graph)
+        ncode = vm.emit_codegen(lower(graph))
     except CompilationFailure as e:
         vm.state.compile_failures += 1
         vm.state.emit("deoptless_compile_failed", code.name, error=str(e))

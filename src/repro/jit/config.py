@@ -12,20 +12,16 @@ import os
 from dataclasses import dataclass, field
 
 
-def _threaded_default() -> bool:
-    """Threaded dispatch is the default; ``RERPO_REF_EXEC=1`` selects the
-    reference loop executors in both tiers (differential debugging)."""
-    return os.environ.get("RERPO_REF_EXEC", os.environ.get("REPRO_REF_EXEC", "0")) != "1"
+#: the execution engines :attr:`Config.engine` accepts
+ENGINES = ("codegen", "ref")
 
 
-def _pycodegen_default() -> bool:
-    """The Python-codegen execution tier is on by default;
-    ``RERPO_PYCODEGEN=0`` falls back to the threaded executor (CI covers
-    that leg).  ``RERPO_REF_EXEC=1`` implies it off — the reference-loop
-    leg must actually run the reference loops."""
+def _engine_default() -> str:
+    """The codegen engine is the default; ``RERPO_REF_EXEC=1`` selects the
+    reference loops in both tiers (the differential oracle)."""
     if os.environ.get("RERPO_REF_EXEC", os.environ.get("REPRO_REF_EXEC", "0")) == "1":
-        return False
-    return os.environ.get("RERPO_PYCODEGEN", os.environ.get("REPRO_PYCODEGEN", "1")) != "0"
+        return "ref"
+    return "codegen"
 
 
 def _inline_default() -> bool:
@@ -93,17 +89,14 @@ def _tierup_default() -> str:
 @dataclass
 class Config:
     # -- execution engine --------------------------------------------------------
-    #: use the closure-compiled threaded-dispatch executors (both tiers).
-    #: False runs the original if/elif reference loops, which must produce
-    #: identical results and telemetry (tests/test_threaded_equivalence.py).
-    threaded_dispatch: bool = field(default_factory=_threaded_default)
-    #: compile each NativeCode unit to one specialized exec'd Python
-    #: function (native/pycodegen.py) — the fastest tier.  Requires
-    #: ``threaded_dispatch`` (the reference leg turns both off); units the
-    #: emitter declines fall back to the threaded executor per-unit.
-    #: Deliberately absent from ``codecache.config_key``: like the engine
-    #: choice itself, it changes how units *run*, not what is lowered.
-    pycodegen: bool = field(default_factory=_pycodegen_default)
+    #: ``"codegen"`` compiles each NativeCode unit to one specialized exec'd
+    #: Python function (native/pycodegen.py) and runs the bytecode tier's
+    #: batched fast loop; ``"ref"`` runs the if/elif reference loops of both
+    #: tiers, the oracle codegen must match bit-for-bit in results and
+    #: telemetry (tests/test_threaded_equivalence.py).  Deliberately absent
+    #: from ``codecache.config_key``: the engine changes how units *run*,
+    #: not what is lowered.
+    engine: str = field(default_factory=_engine_default)
 
     # -- tiering ---------------------------------------------------------------
     #: enable the optimizing tier at all
@@ -239,6 +232,12 @@ class Config:
     verify_ir: bool = True
     #: capture stdout of R programs into a buffer instead of printing
     capture_output: bool = True
+
+    def __setattr__(self, name, value):
+        if name == "engine" and value not in ENGINES:
+            raise ValueError("Config.engine must be one of %s, not %r"
+                             % (", ".join(map(repr, ENGINES)), value))
+        object.__setattr__(self, name, value)
 
 
 @dataclass

@@ -58,7 +58,7 @@ class PersistError(Exception):
 
 
 #: NativeCode fields that constitute the replayable lowering output.  The
-#: mutable/per-install fields (closure, invalidated, threaded, pics) are
+#: mutable/per-install fields (closure, invalidated, pics, pyfunc) are
 #: deliberately excluded and reset on load.
 _NC_FIELDS = (
     "name", "ops", "n_regs", "reg_init", "deopts", "kernels", "param_regs",
@@ -201,12 +201,10 @@ def serialize(ncode: NativeCode, root_code: CodeObject, resolver: WorldResolver)
     # constant pool ride with the unit so a warm start only re-compile()s
     # the text instead of re-running the emitter.  The consts are pickled in
     # the same stream as the ops, so shared runtime objects (identity-guard
-    # pins, builtins, CodeObjects) keep their identity on load.  Emission is
-    # forced eagerly here because the stable layer serializes at insert
-    # time, before the unit first runs.
-    if getattr(resolver.vm.config, "pycodegen", False):
-        pycodegen.ensure_source(ncode, resolver.vm.state)
-    src = getattr(ncode, "pysrc", None)
+    # pins, builtins, CodeObjects) keep their identity on load.  Codegen-
+    # engine units were emitted where they were lowered; "ref" units carry
+    # no source and a codegen VM loading them emits it on load.
+    src = ncode.pysrc
     if src:
         state["pycodegen_src"] = src
         state["pycodegen_consts"] = getattr(ncode, "pyconsts", None)
@@ -239,7 +237,6 @@ def deserialize(data: bytes, root_code: CodeObject, resolver: WorldResolver) -> 
         setattr(nc, f, state[f])
     nc.closure = None
     nc.invalidated = False
-    nc.threaded = None
     nc.pics = {}
     nc.cache_template = None
     nc.param_unbox = state.get("param_unbox")
@@ -247,16 +244,26 @@ def deserialize(data: bytes, root_code: CodeObject, resolver: WorldResolver) -> 
     nc.inlined_frames = state.get("inlined_frames", 0)
     nc.is_context_version = False
     nc.osr_entries = state.get("osr_entries") or {}
+    if state.get("deoptless_ctx") is not None:
+        nc.deoptless_ctx = state["deoptless_ctx"]
     # restore the codegen artifact; the exec'd function is never persisted
-    # (it is process-local) but the source + consts make the first bind a
-    # compile()/exec with no emitter walk
+    # (it is process-local) but the source + consts make the bind a
+    # compile()/exec with no emitter walk.  A codegen VM binds here, so
+    # source that does not compile marks the whole artifact corrupt (a
+    # cache miss, then a normal compile) instead of failing at first call.
     nc.pysrc = state.get("pycodegen_src")
     nc.pyconsts = state.get("pycodegen_consts")
     nc.pyfunc = None
-    if nc.pysrc is not None:
-        resolver.vm.state.pycodegen_src_reuses += 1
-    if state.get("deoptless_ctx") is not None:
-        nc.deoptless_ctx = state["deoptless_ctx"]
+    vm = resolver.vm
+    if vm.config.engine == "codegen":
+        reused = nc.pysrc is not None
+        try:
+            pycodegen.bind(nc, vm)
+        except Exception as e:
+            raise PersistError("generated source unusable: %s: %s"
+                               % (type(e).__name__, e))
+        if reused:
+            vm.state.pycodegen_src_reuses += 1
     return nc
 
 

@@ -114,12 +114,13 @@ class Telemetry:
         #: compiled instructions NOT re-lowered thanks to cache hits
         self.codecache_instrs_saved = 0
         self.codecache_persist_failures = 0
-        #: Python-codegen tier (native/pycodegen.py).  Engine-dependent by
-        #: nature (the other engines never emit source) so all three stay
-        #: out of dispatch_signature(): units is emitter walks performed,
-        #: src_reuses counts units whose generated text rode in on a cache
-        #: artifact (warm starts skip codegen), failures counts units the
-        #: emitter declined (they run threaded).
+        #: codegen engine (native/pycodegen.py).  Engine-dependent by
+        #: nature (the reference engine never emits source) so all three
+        #: stay out of dispatch_signature(): units is emitter walks
+        #: performed, src_reuses counts units whose generated text rode in
+        #: on a cache artifact (warm starts skip codegen), failures counts
+        #: units the emitter could not translate (each is a failed compile;
+        #: 0 over the workload registry and the fuzz suite).
         self.pycodegen_units = 0
         self.pycodegen_src_reuses = 0
         self.pycodegen_failures = 0
@@ -237,8 +238,8 @@ class Telemetry:
     def dispatch_signature(self) -> Dict[str, Any]:
         """Execution-engine-independent summary of what this VM executed.
 
-        Everything here must be bit-identical between the threaded-dispatch
-        executors and the ``RERPO_REF_EXEC=1`` reference loops: the exact op
+        Everything here must be bit-identical between the codegen engine
+        and the ``RERPO_REF_EXEC=1`` reference loops: the exact op
         and guard counts (the cost model's inputs) and the ordered deopt
         event stream (function, kind, pc).  Wall-clock timestamps and other
         engine-dependent details are deliberately excluded.

@@ -14,11 +14,12 @@
   retire-reprofile-regeneralize loop is exactly the behaviour deoptless is
   designed to avoid.
 
-Both tiers execute through closure-compiled threaded dispatch by default
-(``bytecode/interpreter.py`` fast loop + ``native/threaded.py``); setting
-``RERPO_REF_EXEC=1`` selects the original reference loops, which are kept
-bit-for-bit equivalent in results and telemetry (see DESIGN.md, "Dispatch
-architecture").
+``Config.engine`` picks how both tiers execute.  ``"codegen"`` (the
+default) runs the bytecode tier's batched fast loop and compiles every
+native unit to one specialized Python function (``native/pycodegen.py``);
+``"ref"`` (``RERPO_REF_EXEC=1``) runs the reference loops of both tiers,
+the oracle codegen must match bit-for-bit in results and telemetry (see
+DESIGN.md, "Dispatch architecture").
 """
 
 from __future__ import annotations
@@ -339,7 +340,8 @@ class RVM:
                                feedback_override=feedback_override)
         graph = builder.build()
         optimize(graph, self.config, vm=self)
-        return lower(graph, drop_deopt_exits=self.config.unsound_drop_deopt_exits)
+        return self.emit_codegen(
+            lower(graph, drop_deopt_exits=self.config.unsound_drop_deopt_exits))
 
     def install_context_compiled(self, closure: RClosure, st: ClosureJitState,
                                  ctx, ncode: NativeCode,
@@ -356,7 +358,6 @@ class RVM:
         ncode.call_context = ctx
         if not self._install_version(st, ctx, ncode):
             return None
-        self._prepare_codegen(ncode)
         self.state.compiles += 1
         self.state.compiled_instrs += ncode.size
         self.state.lowered_instrs += ncode.size
@@ -450,7 +451,8 @@ class RVM:
                                feedback_override=feedback_override)
         graph = builder.build()
         optimize(graph, self.config, vm=self)
-        return lower(graph, drop_deopt_exits=self.config.unsound_drop_deopt_exits)
+        return self.emit_codegen(
+            lower(graph, drop_deopt_exits=self.config.unsound_drop_deopt_exits))
 
     def install_compiled(self, closure: RClosure, st: ClosureJitState,
                          ncode: NativeCode, feedback=None) -> NativeCode:
@@ -462,7 +464,6 @@ class RVM:
             self.code_cache.insert(key, ncode, self, closure.code)
         ncode.closure = closure
         st.version = ncode
-        self._prepare_codegen(ncode)
         self.state.compiles += 1
         self.state.compiled_instrs += ncode.size
         self.state.lowered_instrs += ncode.size
@@ -470,13 +471,15 @@ class RVM:
         self.state.emit("compile", closure.name, size=ncode.size, env_elided=ncode.env_elided)
         return ncode
 
-    def _prepare_codegen(self, ncode: NativeCode) -> None:
-        """Codegen-tier install hook: emit the unit's specialized Python
-        source at install time (the cache-insert path may already have done
-        it; ``ensure_source`` is idempotent).  Binding — compile()/exec —
-        stays lazy: clones share the template's bound function."""
-        if self.config.pycodegen and self.config.threaded_dispatch:
+    def emit_codegen(self, ncode: NativeCode) -> NativeCode:
+        """Codegen engine: emit a freshly lowered unit's specialized Python
+        source at its compile site, so a unit the emitter cannot translate
+        raises CompilationFailure there and is handled like any failed
+        compile.  Binding — compile()/exec — stays lazy: clones share the
+        template's bound function."""
+        if self.config.engine == "codegen":
             pycodegen.ensure_source(ncode, self.state)
+        return ncode
 
     def _try_cached_entry(self, closure: RClosure, st: ClosureJitState,
                           feedback_override=None) -> Optional[NativeCode]:

@@ -185,17 +185,13 @@ def pic_call(cache: list, fn, args, names, vm) -> Any:
 def execute(ncode: NativeCode, args: List[Any], vm, closure_env=None) -> Any:
     """Run native code with ``args`` bound to the parameter registers.
 
-    Dispatches to the per-unit generated function (the default, the
-    fastest tier — native/pycodegen.py), the closure-compiled threaded
-    executor (``RERPO_PYCODEGEN=0``), or the if/elif reference loop below
-    (``RERPO_REF_EXEC=1``); all three produce identical results and
-    telemetry.
+    Dispatches to the per-unit generated function (``Config.engine ==
+    "codegen"``, the default — native/pycodegen.py) or the if/elif
+    reference loop below (``"ref"``, ``RERPO_REF_EXEC=1``); both produce
+    identical results and telemetry.
     """
-    cfg = vm.config
-    if cfg.threaded_dispatch:
-        if cfg.pycodegen:
-            return execute_codegen(ncode, args, vm, closure_env)
-        return execute_threaded(ncode, args, vm, closure_env)
+    if vm.config.engine == "codegen":
+        return execute_codegen(ncode, args, vm, closure_env)
     return execute_ref(ncode, args, vm, closure_env)
 
 
@@ -208,13 +204,9 @@ def execute_at(ncode: NativeCode, entry: int, regs: List[Any], vm,
     entry map); execution starts at op index ``entry``, a loop header.  Same
     engine selection as :func:`execute`; counters are engine-identical.
     """
-    cfg = vm.config
-    if cfg.threaded_dispatch:
-        if cfg.pycodegen:
-            return execute_codegen(ncode, (), vm, closure_env,
-                                   entry=entry, regs=regs)
-        return execute_threaded(ncode, (), vm, closure_env,
-                                entry=entry, regs=regs)
+    if vm.config.engine == "codegen":
+        return execute_codegen(ncode, (), vm, closure_env,
+                               entry=entry, regs=regs)
     return execute_ref(ncode, (), vm, closure_env, entry=entry, regs=regs)
 
 
@@ -589,8 +581,7 @@ def _super_assign_from(env, name: str, value: Any) -> None:
         e = e.parent
 
 
-# imported last: threaded.py pulls the guard/deopt helpers defined above out
-# of this module, so this import must come after they exist
-from .threaded import execute_threaded  # noqa: E402
+# imported last: pycodegen.py and kernels.py pull the guard/deopt helpers
+# defined above out of this module, so these imports must come after them
 from . import kernels as _kernels  # noqa: E402
 from .pycodegen import execute_codegen  # noqa: E402

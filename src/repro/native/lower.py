@@ -285,32 +285,30 @@ class NativeCode:
         #: set by the VM when installing: the closure this code belongs to
         self.closure = None
         self.invalidated = False
-        #: lazily compiled threaded-dispatch handler array (native/threaded.py)
-        self.threaded = None
-        #: codegen tier (native/pycodegen.py): generated Python source text
-        #: (False: emission declined, run threaded), its constant pool, and
-        #: the exec'd specialized function.  ``pysrc``/``pyconsts`` are part
-        #: of the persistable artifact; ``pyfunc`` is always rebuilt.
+        #: codegen engine (native/pycodegen.py): generated Python source
+        #: text, its constant pool, and the exec'd specialized function.
+        #: ``pysrc``/``pyconsts`` are part of the persistable artifact;
+        #: ``pyfunc`` is always rebuilt.
         self.pysrc = None
         self.pyconsts = None
         self.pyfunc = None
-        #: per-CALLG polymorphic inline caches (reference executor), keyed by
-        #: op index; the threaded engine keeps its caches in handler closures
+        #: per-CALLG polymorphic inline caches, keyed by op index (both
+        #: engines)
         self.pics: Dict[int, list] = {}
         #: bytecode pc -> OsrEntry for loop headers that admit a dispatched
         #: OSR hop into this unit (built by the lowerer from the graph's
         #: surviving osr_anchors)
         self.osr_entries: Dict[int, OsrEntry] = {}
         #: when this unit is a clone served by the code cache: the cached
-        #: template it was cloned from (native/threaded.py back-propagates a
-        #: lazily compiled handler array so later clones start warm)
+        #: template it was cloned from (native/pycodegen.py back-propagates
+        #: the lazily bound function so later clones start warm)
         self.cache_template: Optional["NativeCode"] = None
 
     def clone_for_install(self) -> "NativeCode":
         """A fresh installable view sharing the immutable compilation output.
 
-        The op stream, register plan, deopt/kernel tables and threaded
-        handler array are safely shareable: the executors thread all
+        The op stream, register plan, deopt/kernel tables and generated
+        function are safely shareable: the executors thread all
         run-state through the frame, never through the code object.  What
         must be per-install is the identity bookkeeping — ``closure`` (frame
         attribution of the root frame in ``build_framestate``) and the
@@ -339,10 +337,9 @@ class NativeCode:
         clone.bc_code = self.bc_code
         clone.closure = None
         clone.invalidated = False
-        clone.threaded = self.threaded
-        clone.pysrc = getattr(self, "pysrc", None)
-        clone.pyconsts = getattr(self, "pyconsts", None)
-        clone.pyfunc = getattr(self, "pyfunc", None)
+        clone.pysrc = self.pysrc
+        clone.pyconsts = self.pyconsts
+        clone.pyfunc = self.pyfunc
         clone.pics = self.pics
         clone.osr_entries = self.osr_entries
         clone.cache_template = self
@@ -1145,14 +1142,6 @@ def lower(graph: Graph, drop_deopt_exits: bool = False) -> NativeCode:
     return Lowerer(graph, drop_deopt_exits=drop_deopt_exits).lower()
 
 
-# ---------------------------------------------------------------------------
-# superinstruction fusion (peephole over the lowered op stream)
-# ---------------------------------------------------------------------------
-
-#: comparison opcodes eligible for compare-and-branch fusion
-_CMP_OPS = frozenset((N.PLT, N.PLE, N.PGT, N.PGE, N.PEQ, N.PNE))
-
-
 def branch_targets(ops: List[tuple]) -> set:
     """Every op index that control flow can enter non-sequentially."""
     targets = {0}
@@ -1163,46 +1152,3 @@ def branch_targets(ops: List[tuple]) -> set:
             targets.add(op[2])
             targets.add(op[3])
     return targets
-
-
-def fuse_superinstructions(ops: List[tuple]) -> List[tuple]:
-    """Fuse the dominant hot opcode pairs into superinstructions.
-
-    Index-stable: the fused op replaces the first of the pair and a
-    ``FUSED_GAP`` placeholder fills the second slot, so branch targets and
-    deopt descriptors stay valid without renumbering.  A pair is only fused
-    when its second op is not a branch target (control flow may never enter
-    the middle of a superinstruction).  Telemetry is unaffected: each fused
-    handler accounts for both covered ops.
-    """
-    fused = list(ops)
-    targets = branch_targets(ops)
-    i = 0
-    last = len(ops) - 1
-    while i < last:
-        if i + 1 in targets:
-            i += 1
-            continue
-        a, b = ops[i], ops[i + 1]
-        oa, ob = a[0], b[0]
-        out = None
-        if oa == N.GTYPE and ob == N.UNBOX:
-            # guard-then-unbox of the guarded scalar (the canonical LD_VAR
-            # speculation sequence)
-            out = (N.GTYPE_UNBOX, a[1], a[2], a[3], b[1], b[2])
-        elif oa in _CMP_OPS and ob == N.BRT and b[1] == a[1]:
-            # compare feeding its branch: loop conditions
-            out = (N.CMP_BRT, oa, a[1], a[2], a[3], b[2], b[3])
-        elif oa == N.VLOAD and ob == N.PADD:
-            # element load feeding an accumulate (sum/colsum kernels)
-            out = (N.VLOAD_PADD, a[1], a[2], a[3], a[4], b[1], b[2], b[3])
-        elif oa == N.BOX and ob == N.RET and b[1] == a[1]:
-            # box the return value and return it
-            out = (N.BOX_RET, a[1], a[2], a[3])
-        if out is not None:
-            fused[i] = out
-            fused[i + 1] = (N.FUSED_GAP,)
-            i += 2
-        else:
-            i += 1
-    return fused

@@ -1,28 +1,32 @@
-"""NativeCode → specialized Python source — the codegen execution tier.
+"""NativeCode → specialized Python source — the codegen execution engine.
 
-The threaded executor (native/threaded.py) still pays one Python-level
-indirect call per op: each handler is a closure pulled from an array.  This
-module ends that trajectory the way a real JIT does — by *generating target
-code* per compilation unit.  ``_emit`` walks a lowered
-:class:`~repro.native.lower.NativeCode` and prints straight-line Python
-source: registers become plain locals (``r7``), each op becomes one
+The reference executor (native/executor.py) re-decodes every op through an
+if/elif chain.  This module removes that overhead the way a real JIT does —
+by *generating target code* per compilation unit.  ``_emit`` walks a
+lowered :class:`~repro.native.lower.NativeCode` and prints straight-line
+Python source: registers become plain locals (``r7``), each op becomes one
 statement (or a few), guards become ``if``-raise of a :class:`DeoptSignal`
 carrying the op's deopt-descriptor index, and bulk vector kernels become
 direct ``run_kernel`` calls with a statically computed spill/reload set.
 ``compile()``/``exec`` then turns the text into a single specialized
 function cached on the unit (``NativeCode.pyfunc``), shared by clones via
-the same ``cache_template`` back-propagation the threaded tier uses.
+``cache_template`` back-propagation.
 
-Equivalence contract (the same one threaded.py honors): results, deopt
-frames and the engine-independent telemetry — ``native_ops``,
-``native_generic_ops``, ``guards_executed`` and the ordered deopt event
-stream — must be bit-identical to the reference if/elif loop.  Op counts
-are therefore *statically batched*: the emitter tracks how many ops precede
-each basic-block exit and emits one literal ``_n += k`` instead of per-op
-increments, with every deopt site raising the exact pending totals it would
-have observed in the reference loop.  Chaos-mode RNG draws are emitted
-after each passing guard in op order, so the draw sequence is identical
-across all three engines.
+Codegen is total: every lowered unit translates.  Emission runs where the
+unit was lowered (the VM's compile sites), and a unit the emitter cannot
+translate raises :class:`~repro.ir.builder.CompilationFailure` there — it
+is handled like any other failed compile (the code stays interpreted) and
+counted in ``pycodegen_failures``.  There is no silent slower engine.
+
+Equivalence contract: results, deopt frames and the engine-independent
+telemetry — ``native_ops``, ``native_generic_ops``, ``guards_executed`` and
+the ordered deopt event stream — must be bit-identical to the reference
+if/elif loop.  Op counts are therefore *statically batched*: the emitter
+tracks how many ops precede each basic-block exit and emits one literal
+``_n += k`` instead of per-op increments, with every deopt site raising the
+exact pending totals it would have observed in the reference loop.
+Chaos-mode RNG draws are emitted after each passing guard in op order, so
+the draw sequence is identical across both engines.
 
 Deopt protocol: generated code raises ``DeoptSignal(did, regidx, vals,
 dn, dg, du, observed, kind)`` — the deopt-descriptor index, the registers
@@ -45,6 +49,7 @@ from __future__ import annotations
 import math
 from typing import Any, List, Optional, Tuple
 
+from ..ir.builder import CompilationFailure
 from ..osr.framestate import DeoptReason, DeoptReasonKind
 from ..runtime import coerce
 from ..runtime.env import REnvironment
@@ -85,8 +90,8 @@ class DeoptSignal(Exception):
 
 
 class UnsupportedUnit(Exception):
-    """Raised by the emitter on an op stream it cannot translate; the unit
-    falls back to the threaded executor."""
+    """Raised by the emitter on an op stream it cannot translate;
+    :func:`ensure_source` reports it as a ``CompilationFailure``."""
 
 
 def _fail(ncode, vm, closure_env, sig):
@@ -634,7 +639,8 @@ def _emit(ncode) -> Tuple[str, list]:
 
     render(0, "def _unit(ncode, vm, args, closure_env, _entry=None, _regs=None):")
     render(1, "if _regs is None and len(args) != %d:" % len(params))
-    render(2, "return _fallback(ncode, vm, args, closure_env)")
+    render(2, 'raise RError("internal: native unit %%s called with %%d '
+              'arguments, expects %d" %% (ncode.name, len(args)))' % len(params))
     render(1, "state = vm.state")
     render(1, "_ch = vm.chaos_rng if vm.config.chaos_rate > 0.0 else None")
     render(1, "_rate = vm.config.chaos_rate")
@@ -709,7 +715,6 @@ def _shared_env() -> dict:
             "__builtins__": __builtins__,
             "_DS": DeoptSignal,
             "_fail": _fail,
-            "_fallback": execute_threaded,
             "_tm": _type_matches,
             "_rq": rtype_quick,
             "_naty": _na_rtype,
@@ -741,30 +746,29 @@ def _shared_env() -> dict:
     return env
 
 
-def ensure_source(ncode, state=None) -> Optional[str]:
+def ensure_source(ncode, state=None) -> str:
     """Emit (once) and cache the unit's generated source + constant pool.
 
-    Returns the source text, or None when the unit cannot be translated
-    (``pysrc`` is then the False sentinel and the threaded tier runs it).
+    Raises :class:`~repro.ir.builder.CompilationFailure` (counted in
+    ``state.pycodegen_failures``) when the emitter cannot translate the unit.
     """
-    src = getattr(ncode, "pysrc", None)
+    src = ncode.pysrc
     if src is not None:
-        return src if src is not False else None
+        return src
     try:
         src, consts = _emit(ncode)
-    except Exception:
-        ncode.pysrc = False
-        ncode.pyconsts = None
+    except Exception as e:
         if state is not None:
             state.pycodegen_failures += 1
-        return None
+        raise CompilationFailure("codegen failed for %s: %s: %s"
+                                 % (ncode.name, type(e).__name__, e)) from e
     ncode.pysrc = src
     ncode.pyconsts = consts
     if state is not None:
         state.pycodegen_units += 1
     tmpl = ncode.cache_template
-    if tmpl is not None and getattr(tmpl, "pysrc", None) is None:
-        # back-propagate like compile_threaded: later clones start warm
+    if tmpl is not None and tmpl.pysrc is None:
+        # back-propagate: later clones of the template start warm
         tmpl.pysrc = src
         tmpl.pyconsts = consts
     return src
@@ -773,39 +777,24 @@ def ensure_source(ncode, state=None) -> Optional[str]:
 def bind(ncode, vm):
     """compile()/exec the unit's generated source into its ``pyfunc``.
 
-    Returns the callable, or None when codegen is unavailable for this unit
-    (emission or compilation failed — the caller falls back to threaded).
+    Emits the source first if the unit has none yet; emission and
+    ``compile()`` errors propagate to the caller.
     """
-    src = getattr(ncode, "pysrc", None)
-    if src is False:
-        return None
+    src = ncode.pysrc
     tmpl = ncode.cache_template
-    if src is None and tmpl is not None:
-        tsrc = getattr(tmpl, "pysrc", None)
-        if tsrc:
-            src = ncode.pysrc = tsrc
-            ncode.pyconsts = tmpl.pyconsts
-            fn = getattr(tmpl, "pyfunc", None)
-            if fn is not None:
-                ncode.pyfunc = fn
-                return fn
+    if src is None and tmpl is not None and tmpl.pysrc is not None:
+        src = ncode.pysrc = tmpl.pysrc
+        ncode.pyconsts = tmpl.pyconsts
+        if tmpl.pyfunc is not None:
+            ncode.pyfunc = tmpl.pyfunc
+            return tmpl.pyfunc
     if src is None:
         src = ensure_source(ncode, vm.state)
-        if src is None:
-            return None
-    try:
-        g = dict(_shared_env())
-        g["_K"] = tuple(ncode.pyconsts or ())
-        code = compile(src, "<pycodegen:%s>" % ncode.name, "exec")
-        exec(code, g)
-        fn = g["_unit"]
-    except Exception:
-        vm.state.pycodegen_failures += 1
-        ncode.pysrc = False
-        ncode.pyfunc = None
-        return None
-    ncode.pyfunc = fn
-    if tmpl is not None and getattr(tmpl, "pyfunc", None) is None:
+    g = dict(_shared_env())
+    g["_K"] = tuple(ncode.pyconsts or ())
+    exec(compile(src, "<pycodegen:%s>" % ncode.name, "exec"), g)
+    fn = ncode.pyfunc = g["_unit"]
+    if tmpl is not None and tmpl.pyfunc is None:
         tmpl.pysrc = ncode.pysrc
         tmpl.pyconsts = ncode.pyconsts
         tmpl.pyfunc = fn
@@ -813,21 +802,17 @@ def bind(ncode, vm):
 
 
 def execute_codegen(ncode, args, vm, closure_env=None, entry=None, regs=None):
-    """Run a unit through its generated function (binding it on first use);
-    units the emitter declines run on the threaded executor instead."""
+    """Run a unit through its generated function (binding it on first use)."""
     fn = ncode.pyfunc
     if fn is None:
         fn = bind(ncode, vm)
-        if fn is None:
-            return execute_threaded(ncode, args, vm, closure_env,
-                                    entry=entry or 0, regs=regs)
     if closure_env is None and ncode.closure is not None:
         closure_env = ncode.closure.env
     return fn(ncode, vm, args, closure_env, entry, regs)
 
 
-# imported last (same pattern as threaded.py): these helpers live in
-# executor.py / threaded.py / kernels.py, which import us at their bottoms
+# imported last: these helpers live in executor.py / kernels.py, which
+# import us at their bottoms
 from .executor import (  # noqa: E402
     _as_bool,
     _generic_set2,
@@ -837,5 +822,4 @@ from .executor import (  # noqa: E402
     force_value,
     pic_call,
 )
-from .threaded import execute_threaded  # noqa: E402
 from .kernels import run_kernel  # noqa: E402

@@ -74,7 +74,7 @@ def try_osr_in(vm, code, env, pc: int, closure=None) -> Tuple[bool, Any]:
                 builder.graph.env_elided = False
             graph = builder.build()
             optimize(graph, vm.config, vm=vm)
-            ncode = lower(graph)
+            ncode = vm.emit_codegen(lower(graph))
         except CompilationFailure as e:
             code.osr_disabled = True
             vm.state.compile_failures += 1

@@ -6,7 +6,7 @@ distiller, the bucketed :class:`~repro.deoptless.dispatch.VersionTable`
 dispatch, the acceptance property that a deopt inside one specialized
 version leaves its siblings installed and dispatchable, the PIC's
 ``(callee, context) -> version`` fast path, the narrow code-cache
-invalidation, and threaded-vs-reference engine equivalence under both
+invalidation, and codegen-vs-reference engine equivalence under both
 ``ctxdispatch`` settings.
 """
 
@@ -333,13 +333,13 @@ def test_eviction_knob_retires_cold_version():
 
 @pytest.mark.parametrize("ctxdispatch", [True, False])
 def test_engines_agree_on_dispatch_signature(ctxdispatch):
-    """Version selection is VM policy, not executor behavior: the threaded
+    """Version selection is VM policy, not executor behavior: the codegen
     and reference engines must produce bit-identical dispatch signatures
     within each ctxdispatch setting."""
     results, sigs = [], []
-    for threaded in (False, True):
+    for engine in ("ref", "codegen"):
         vm = make_vm(compile_threshold=1, osr_threshold=50,
-                     ctxdispatch=ctxdispatch, threaded_dispatch=threaded)
+                     ctxdispatch=ctxdispatch, engine=engine)
         vm.eval(SUM_SRC)
         vm.eval("xi <- c(1L, 2L, 3L)")
         vm.eval("xd <- c(1.5, 2.5, 3.5)")

@@ -13,14 +13,17 @@ from hypothesis import given, settings, strategies as st
 from conftest import TIER_CONFIGS, make_vm
 from repro import from_r
 
-#: the three execution engines as Config overrides: reference if/elif loops,
-#: closure-threaded dispatch, and the per-unit Python-codegen tier.  Engine-
-#: looping tests below must leave identical dispatch signatures on all three.
-ENGINE_LEGS = (
-    dict(threaded_dispatch=False, pycodegen=False),
-    dict(threaded_dispatch=True, pycodegen=False),
-    dict(threaded_dispatch=True, pycodegen=True),
-)
+#: the two execution engines as Config overrides: the reference if/elif
+#: loops and the per-unit Python-codegen engine.  Engine-looping tests below
+#: must leave identical dispatch signatures on both.
+ENGINE_LEGS = (dict(engine="ref"), dict(engine="codegen"))
+
+
+def leg_signature(vm):
+    """The leg's dispatch signature, after checking codegen stayed total:
+    no generated program may make the emitter fail."""
+    assert vm.state.pycodegen_failures == 0
+    return vm.state.dispatch_signature()
 
 
 @st.composite
@@ -165,7 +168,7 @@ drive <- function(n) {
 def test_inlined_calls_agree_across_tiers_and_engines(src, n):
     """With ``Config.inline`` on, inlined code must match the interpreter
     exactly, and the dispatch signature (op/guard counts + deopt stream)
-    must be identical across the reference, threaded, and codegen engines."""
+    must be identical across the reference and codegen engines."""
     call = "drive(%dL)" % n
     vm_ref = make_vm(enable_jit=False)
     vm_ref.eval(src)
@@ -178,7 +181,7 @@ def test_inlined_calls_agree_across_tiers_and_engines(src, n):
         got = [from_r(vm.eval(call)) for _ in range(4)]
         assert got == expected, (src, got, expected)
         assert vm.state.inlined_frames > 0
-        sigs.append(vm.state.dispatch_signature())
+        sigs.append(leg_signature(vm))
     assert all(s == sigs[0] for s in sigs), src
 
 
@@ -211,7 +214,7 @@ def test_entry_contexts_agree_across_tiers_and_engines(src, xs, rounds):
     """The same call site alternates int, real, and logical vector
     arguments: with contextual dispatch each context gets its own entry
     version, and the results and the dispatch signature must be identical
-    across the reference, threaded, and codegen engines (and match the pure
+    across the reference and codegen engines (and match the pure
     interpreter's results)."""
     n = len(xs)
     ivec = "c(%s)" % ", ".join("%dL" % x for x in xs)
@@ -231,7 +234,7 @@ def test_entry_contexts_agree_across_tiers_and_engines(src, xs, rounds):
         vm.eval(src)
         got = [from_r(vm.eval(c)) for c in calls]
         assert got == expected, (src, got, expected)
-        sigs.append(vm.state.dispatch_signature())
+        sigs.append(leg_signature(vm))
     assert all(s == sigs[0] for s in sigs), src
 
 
@@ -283,7 +286,7 @@ def test_nested_loops_agree_across_tiers_and_engines(src, xs, m):
         vm.eval(src)
         got = [from_r(vm.eval(call)) for _ in range(3)]
         assert got == expected, (src, got, expected)
-        sigs.append(vm.state.dispatch_signature())
+        sigs.append(leg_signature(vm))
     assert all(s == sigs[0] for s in sigs), src
 
 
@@ -337,7 +340,7 @@ def test_gather_subscripts_agree_across_tiers_and_engines(src, xs, raw_idx, oob)
         vm.eval(src)
         got = [observe(vm) for _ in range(3)]
         assert got == expected, (src, call, got, expected)
-        sigs.append(vm.state.dispatch_signature())
+        sigs.append(leg_signature(vm))
     assert all(s == sigs[0] for s in sigs), src
 
 
@@ -377,7 +380,7 @@ ecap <- function(m, n) {
 def test_envcapture_agrees_across_tiers_and_engines(src, n):
     """Mixed env mode (scalar-replaced frames, partial MkEnv, elided
     promises) matches the interpreter exactly on every executor, with one
-    dispatch signature across the reference, threaded, and codegen engines."""
+    dispatch signature across the reference and codegen engines."""
     call = "ecap(2L, %dL)" % n
     vm_ref = make_vm(enable_jit=False)
     vm_ref.eval(src)
@@ -389,7 +392,7 @@ def test_envcapture_agrees_across_tiers_and_engines(src, n):
         vm.eval(src)
         got = [from_r(vm.eval(call)) for _ in range(4)]
         assert got == expected, (src, got, expected)
-        sigs.append(vm.state.dispatch_signature())
+        sigs.append(leg_signature(vm))
     assert all(s == sigs[0] for s in sigs), src
 
 
@@ -413,7 +416,7 @@ def test_chaos_deopts_inside_elided_env_regions(src, n, seed):
     """Chaos-mode assumption failures inside mixed frames (partial MkEnv +
     scalar registers, possibly with an elided promise live on the stack)
     rematerialize interpreter-identical state on every executor, and the
-    three engines leave identical dispatch signatures."""
+    two engines leave identical dispatch signatures."""
     call = "ecap(2L, %dL)" % n
     vm_ref = make_vm(enable_jit=False)
     vm_ref.eval(src)
@@ -426,7 +429,7 @@ def test_chaos_deopts_inside_elided_env_regions(src, n, seed):
         vm.eval(src)
         for _ in range(5):
             assert from_r(vm.eval(call)) == expected, (src, seed)
-        sigs.append(vm.state.dispatch_signature())
+        sigs.append(leg_signature(vm))
     assert all(s == sigs[0] for s in sigs), src
 
 
@@ -463,7 +466,7 @@ vh_flip <- function(a, b, n) {
 def test_version_hops_agree_across_tiers_and_engines(src, xs, seed):
     """Mid-loop version hops (dispatched OSR + armed re-entry + continuation
     tier-up) are invisible in results and leave one dispatch signature
-    across the reference, threaded, and codegen engines.  The int/real
+    across the reference and codegen engines.  The int/real
     phases alternate call to call, and chaos mode fires assumptions inside
     the deoptless continuations, exercising hop-out, hop-in, and the
     decline/fallback paths under one fixed seed."""
@@ -485,7 +488,7 @@ def test_version_hops_agree_across_tiers_and_engines(src, xs, seed):
         vm.eval(src)
         got = [from_r(vm.eval(c)) for c in calls]
         assert got == expected, (src, seed, got, expected)
-        sigs.append(vm.state.dispatch_signature())
+        sigs.append(leg_signature(vm))
     assert all(s == sigs[0] for s in sigs), (src, seed)
     # and the escape hatch must be semantics-identical too
     vm = make_vm(chaos_rate=0.05, chaos_seed=seed, compile_threshold=1,
@@ -517,5 +520,5 @@ def test_chaos_deopts_inside_inlined_bodies(src, n, seed):
         vm.eval(src)
         for _ in range(5):
             assert from_r(vm.eval(call)) == expected, (src, seed)
-        sigs.append(vm.state.dispatch_signature())
+        sigs.append(leg_signature(vm))
     assert all(s == sigs[0] for s in sigs), src

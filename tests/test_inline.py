@@ -318,8 +318,8 @@ spin <- function(g, n) {
 }
 """
     hits = []
-    for threaded in (False, True):
-        vm = warmed(src, [], threaded_dispatch=threaded)
+    for engine in ("ref", "codegen"):
+        vm = warmed(src, [], engine=engine)
         for fn in ("b1", "b2", "b3", "b4"):
             vm.eval("spin(%s, 4)" % fn)
         for _ in range(4):

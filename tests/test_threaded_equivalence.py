@@ -1,13 +1,16 @@
-"""Differential proof that all execution engines are equivalent.
+"""Differential proof that the two execution engines are equivalent.
 
-The three execution engines — the original if/elif reference loops
-(``RERPO_REF_EXEC=1``), the closure-compiled threaded dispatchers, and the
-per-unit Python-codegen tier (default) — must be observationally identical:
-same results, same deopt event stream, and the exact same op/guard telemetry
-(the cost model's inputs).  Every workload in the benchmark registry is run
-under every engine across tier configurations, including chaos mode with
-fixed seeds, and the full dispatch signatures are compared.
+The reference if/elif loops (``Config.engine="ref"``, ``RERPO_REF_EXEC=1``)
+are the semantic spec; the per-unit Python-codegen engine (the default) must
+be observationally identical to them: same results, same deopt event
+stream, and the exact same op/guard telemetry (the cost model's inputs).
+Every workload in the benchmark registry is run on both engines across tier
+configurations, including chaos mode with fixed seeds, and the full
+dispatch signatures are compared; the codegen runs must also be free of
+emitter failures (codegen is total).
 """
+
+import threading
 
 import pytest
 
@@ -31,36 +34,59 @@ ENGINE_CONFIGS = {
     ),
 }
 
-#: the three execution engines, as Config overrides.  ``reference`` is the
-#: semantic spec; the other two must match it bit-for-bit.
-ENGINES = {
-    "reference": dict(threaded_dispatch=False, pycodegen=False),
-    "threaded": dict(threaded_dispatch=True, pycodegen=False),
-    "codegen": dict(threaded_dispatch=True, pycodegen=True),
-}
+#: how the two engines are scheduled.  ``codegen``: one after the other on
+#: the test thread.  ``threaded``: at the same time, the codegen VM on a
+#: worker thread beside the reference VM on the test thread, so the two
+#: engines interleave in one process; state they wrongly share shows up as
+#: a divergence.
+LEGS = ("codegen", "threaded")
 
 
 def run_workload(name, cfg, engine, repeats=2):
     w = REGISTRY.get(name)
-    vm = make_vm(**ENGINES[engine], **cfg)
+    vm = make_vm(engine=engine, **cfg)
     vm.eval(w.source)
     vm.eval(w.setup_code(w.n_test))
     results = [from_r(vm.eval(w.call_code(w.n_test))) for _ in range(repeats)]
+    if engine == "codegen":
+        assert vm.state.pycodegen_failures == 0, "%s: emitter failed" % name
     return results, vm.state.dispatch_signature()
 
 
-@pytest.mark.parametrize("engine", ["threaded", "codegen"])
+def run_side_by_side(name, cfg):
+    out = {}
+
+    def work():
+        try:
+            out["codegen"] = run_workload(name, cfg, "codegen")
+        except Exception as e:  # re-raised on the test thread
+            out["error"] = e
+
+    t = threading.Thread(target=work, daemon=True)
+    t.start()
+    ref = run_workload(name, cfg, "ref")
+    t.join(timeout=600)
+    assert not t.is_alive(), "%s: worker thread did not finish" % name
+    if "error" in out:
+        raise out["error"]
+    return out["codegen"], ref
+
+
+@pytest.mark.parametrize("leg", LEGS)
 @pytest.mark.parametrize("mode", sorted(ENGINE_CONFIGS))
 @pytest.mark.parametrize("name", REGISTRY.names())
-def test_engine_matches_reference(name, mode, engine):
+def test_engine_matches_reference(name, mode, leg):
     cfg = ENGINE_CONFIGS[mode]
-    t_results, t_sig = run_workload(name, cfg, engine)
-    r_results, r_sig = run_workload(name, cfg, "reference")
-    assert t_results == r_results, "%s[%s]: results diverged" % (name, mode)
+    if leg == "threaded":
+        (c_results, c_sig), (r_results, r_sig) = run_side_by_side(name, cfg)
+    else:
+        c_results, c_sig = run_workload(name, cfg, "codegen")
+        r_results, r_sig = run_workload(name, cfg, "ref")
+    assert c_results == r_results, "%s[%s]: results diverged" % (name, mode)
     for key in r_sig:
-        assert t_sig[key] == r_sig[key], (
-            "%s[%s]: %s diverged: %s=%r reference=%r"
-            % (name, mode, key, engine, t_sig[key], r_sig[key])
+        assert c_sig[key] == r_sig[key], (
+            "%s[%s]: %s diverged: codegen=%r reference=%r"
+            % (name, mode, key, c_sig[key], r_sig[key])
         )
 
 
@@ -68,41 +94,17 @@ def test_ref_exec_env_var_selects_reference(monkeypatch):
     from repro.jit.config import Config
 
     monkeypatch.setenv("RERPO_REF_EXEC", "1")
-    assert Config().threaded_dispatch is False
+    assert Config().engine == "ref"
     monkeypatch.delenv("RERPO_REF_EXEC")
-    assert Config().threaded_dispatch is True
+    assert Config().engine == "codegen"
 
 
-def test_threaded_code_is_cached_and_fused():
-    """The handler array is compiled once per NativeCode and contains at
-    least one superinstruction for a vector-summing loop."""
-    from repro.native import ops as N
-    from repro.native.lower import fuse_superinstructions
+def test_unknown_engine_rejected():
+    from repro.jit.config import Config
 
-    vm = make_vm(
-        compile_threshold=1, osr_threshold=50, threaded_dispatch=True,
-        pycodegen=False,  # pin the threaded tier; codegen leaves .threaded unbuilt
-    )
-    vm.eval(
-        """
-        s <- function(v) {
-          n <- length(v); acc <- 0; i <- 1
-          while (i <= n) { acc <- acc + v[[i]]; i <- i + 1 }
-          acc
-        }
-        v <- c(1, 2, 3, 4, 5, 6, 7, 8)
-        r <- 0
-        for (k in 1:30) r <- r + s(v)
-        """
-    )
-    closure = vm.get_global("s")
-    assert closure.jit is not None and closure.jit.version is not None, "nothing compiled"
-    ncodes = [closure.jit.version]
-    fused_ops = set()
-    for nc in ncodes:
-        assert nc.threaded is not None, "threaded handlers not cached"
-        assert len(nc.threaded) == len(nc.ops)
-        fused_ops |= {op[0] for op in fuse_superinstructions(nc.ops)}
-    assert fused_ops & {
-        N.GTYPE_UNBOX, N.CMP_BRT, N.VLOAD_PADD, N.BOX_RET
-    }, "no superinstruction formed in a hot vector loop"
+    with pytest.raises(ValueError):
+        Config(engine="threaded")
+    cfg = Config()
+    with pytest.raises(ValueError):
+        cfg.engine = "fast"
+    assert cfg.engine in ("codegen", "ref")
