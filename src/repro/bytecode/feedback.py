@@ -19,7 +19,8 @@ from __future__ import annotations
 from typing import Any, List, Optional, Set
 
 from ..runtime.rtypes import ANY, Kind, RType
-from ..runtime.values import rtype_quick
+from ..runtime.values import RVector, rtype_quick
+from . import opcodes as O
 
 #: calls seen with more distinct targets than this are megamorphic.
 MAX_CALL_TARGETS = 3
@@ -44,6 +45,16 @@ class ObservedType:
         self.stale = False
 
     def record(self, value: Any) -> None:
+        if isinstance(value, RVector):
+            # record_type(rtype_quick(value)), read straight off the vector
+            d = value.data
+            self.kinds.add(value.kind)
+            if len(d) != 1:
+                self.all_scalar = False
+            elif d[0] is None:
+                self.saw_na = True
+            self.count += 1
+            return
         self.record_type(rtype_quick(value))
 
     def record_type(self, t: RType) -> None:
@@ -151,7 +162,8 @@ class CallFeedback:
     def record(self, target: Any, args: Optional[List[Any]] = None) -> None:
         self.count += 1
         if args is not None and self.arg_profiles is not None:
-            prof = tuple(rtype_quick(a).kind for a in args)
+            prof = tuple([a.kind if isinstance(a, RVector) else rtype_quick(a).kind
+                          for a in args])
             if prof not in self.arg_profiles:
                 if len(self.arg_profiles) >= MAX_CALL_ARG_PROFILES:
                     self.arg_profiles = None  # unbounded-polymorphic
@@ -199,8 +211,6 @@ def slot_for_op(op: int):
     the interpreter then records through a plain list index instead of a
     ``dict.get``-probe-then-insert on every executed instruction.
     """
-    from . import opcodes as O
-
     if op in (O.LD_VAR, O.SEQ_LENGTH):
         return ObservedType
     if op in (O.BINOP, O.COMPARE, O.COLON, O.INDEX2, O.INDEX1,

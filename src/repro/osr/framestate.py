@@ -21,9 +21,12 @@ reason) — lifting the section-4.3 exclusion the paper notes for Ř.
 from __future__ import annotations
 
 import enum
+import math
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..runtime.env import REnvironment
 from ..runtime.rtypes import RType
+from ..runtime.values import RError, RVector
 
 
 class DeoptReasonKind(enum.Enum):
@@ -218,12 +221,8 @@ def eval_kernel_role(role, st: "KernelIterState"):
     if tag == "ex2":
         # the generic Extract2 result: a fresh 1-element vector of the source
         # vector's kind (the element may be None — extract2 does not NA-check)
-        from ..runtime.values import RVector
-
         return RVector(st.invs[role[1]].kind, [st.elems[role[1]]])
     if tag == "box":
-        from ..runtime.values import RVector
-
         inner = eval_kernel_role(role[1], st)
         kind = role[2]
         if kind.name == "DBL" and type(inner) is int:
@@ -256,12 +255,8 @@ def eval_kernel_role(role, st: "KernelIterState"):
 def _pdiv_role(a, b):
     """R division semantics for ``("expr", "/", ...)`` roles — an exact
     replica of the executor's PDIV: zero-division yields inf/nan."""
-    import math
-
     if b == 0:
         if isinstance(a, complex) or isinstance(b, complex):
-            from ..runtime.errors import RError
-
             raise RError("complex division by zero")
         return float("nan") if a == 0 else math.copysign(math.inf, a)
     return a / b
@@ -338,8 +333,6 @@ class FrameState:
     def materialize_env(self):
         """Rebuild a real environment (paper: MkEnv deferred into the deopt
         branch).  Reuses the live env when it was never elided."""
-        from ..runtime.env import REnvironment
-
         if self.env is not None:
             if self.env_values:
                 # escape mode: the partial env holds only the demoted

@@ -253,9 +253,7 @@ def _bi_is_numeric(args, vm):
 
 
 def _bi_is_function(args, vm):
-    from .values import RBuiltin as B, RClosure as C
-
-    return mk_lgl(isinstance(_one(args, "is.function"), (B, C)))
+    return mk_lgl(isinstance(_one(args, "is.function"), (RBuiltin, RClosure)))
 
 
 def _bi_is_null(args, vm):

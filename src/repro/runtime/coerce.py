@@ -11,10 +11,16 @@ with specialized unboxed instructions guarded by ``Assume``.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Any, Callable, List, Optional
 
 from .rtypes import Kind, kind_lub
 from .values import NULL, RError, RNull, RVector
+
+#: the kinds the scalar fast paths below test by identity
+_LGL = Kind.LGL
+_INT = Kind.INT
+_DBL = Kind.DBL
 
 # ---------------------------------------------------------------------------
 # Coercion
@@ -162,7 +168,35 @@ def _result_kind(op: str, ka: Kind, kb: Kind) -> Kind:
 
 
 def arith(op: str, lhs: Any, rhs: Any) -> RVector:
-    """Full generic vector arithmetic with coercion, recycling and NA."""
+    """Full generic vector arithmetic with coercion, recycling and NA.
+
+    Fast path: two length-1 vectors of one kind whose result keeps that kind
+    (``DBL``; ``INT`` except ``/`` and ``^``) need no coercion or recycling,
+    so they skip straight to the element operation.  The result, its kind
+    and the one allocation are those of :func:`_arith_generic`, which every
+    other operand pair takes."""
+    if isinstance(lhs, RVector) and isinstance(rhs, RVector):
+        k = lhs.kind
+        da = lhs.data
+        db = rhs.data
+        if (k is rhs.kind and len(da) == 1 and len(db) == 1
+                and (k is _DBL or (k is _INT and op != "/" and op != "^"))):
+            x = da[0]
+            y = db[0]
+            if x is None or y is None:
+                return RVector(k, [None])
+            if op == "+":
+                return RVector(k, [x + y])
+            if op == "-":
+                return RVector(k, [x - y])
+            if op == "*":
+                return RVector(k, [x * y])
+            return RVector(k, [_scalar_arith(op, x, y)])
+    return _arith_generic(op, lhs, rhs)
+
+
+def _arith_generic(op: str, lhs: Any, rhs: Any) -> RVector:
+    """:func:`arith`'s slow path, the full semantics for every operand pair."""
     a = as_vector(lhs)
     b = as_vector(rhs)
     if not a.kind.is_numeric or not b.kind.is_numeric:
@@ -191,6 +225,18 @@ def arith(op: str, lhs: Any, rhs: Any) -> RVector:
 
 
 def unary(op: str, operand: Any) -> RVector:
+    if op == "-" and isinstance(operand, RVector):
+        # fast path: scalar INT/DBL negation (no coercion copy either way)
+        k = operand.kind
+        d = operand.data
+        if len(d) == 1 and (k is _DBL or k is _INT):
+            x = d[0]
+            return RVector(k, [None if x is None else -x])
+    return _unary_generic(op, operand)
+
+
+def _unary_generic(op: str, operand: Any) -> RVector:
+    """:func:`unary`'s slow path."""
     v = as_vector(operand)
     if op == "-":
         if not v.kind.is_numeric:
@@ -214,7 +260,37 @@ def unary(op: str, operand: Any) -> RVector:
 # Comparison and logic
 # ---------------------------------------------------------------------------
 
+#: element comparisons by operator name
+_COMPARE_FNS = {
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+#: kinds compare's fast path takes: comparable under every operator and
+#: never coerced when both operands share them
+_CMP_FAST_KINDS = frozenset((Kind.LGL, Kind.INT, Kind.DBL, Kind.STR))
+
+
 def compare(op: str, lhs: Any, rhs: Any) -> RVector:
+    if isinstance(lhs, RVector) and isinstance(rhs, RVector):
+        # fast path: two same-kind LGL/INT/DBL/STR scalars
+        k = lhs.kind
+        da = lhs.data
+        db = rhs.data
+        if k is rhs.kind and len(da) == 1 and len(db) == 1 and k in _CMP_FAST_KINDS:
+            f = _COMPARE_FNS[op]
+            x = da[0]
+            y = db[0]
+            return RVector(_LGL, [None if x is None or y is None else f(x, y)])
+    return _compare_generic(op, lhs, rhs)
+
+
+def _compare_generic(op: str, lhs: Any, rhs: Any) -> RVector:
+    """:func:`compare`'s slow path."""
     a = as_vector(lhs)
     b = as_vector(rhs)
     kind = kind_lub(a.kind, b.kind)
@@ -229,15 +305,7 @@ def compare(op: str, lhs: Any, rhs: Any) -> RVector:
         return RVector(Kind.LGL, [])
     n = max(la, lb)
     out: List[Optional[bool]] = [None] * n
-    fns: dict = {
-        "==": lambda x, y: x == y,
-        "!=": lambda x, y: x != y,
-        "<": lambda x, y: x < y,
-        "<=": lambda x, y: x <= y,
-        ">": lambda x, y: x > y,
-        ">=": lambda x, y: x >= y,
-    }
-    f = fns[op]
+    f = _COMPARE_FNS[op]
     da, db = a.data, b.data
     for i in range(n):
         x, y = da[i % la], db[i % lb]

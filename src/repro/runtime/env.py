@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterator, Optional, Tuple
 
-from .values import RError
-
 
 class REnvironment:
     """A mutable binding frame with a parent pointer (lexical scope chain)."""
@@ -53,8 +51,6 @@ class REnvironment:
     def get_function(self, name: str) -> Any:
         """Function lookup: like :meth:`get` but skips non-function bindings,
         matching R's rule that ``c <- 1; c(1, 2)`` still finds the builtin."""
-        from .values import RBuiltin, RClosure
-
         env: Optional[REnvironment] = self
         while env is not None:
             if name in env.bindings:
@@ -104,3 +100,8 @@ class REnvironment:
 
     def __repr__(self) -> str:  # pragma: no cover
         return "<env %d bindings, depth %d>" % (len(self.bindings), self.depth())
+
+
+# imported last: values.py binds REnvironment from this module at its
+# bottom, so either module may be imported first
+from .values import RBuiltin, RClosure, RError  # noqa: E402

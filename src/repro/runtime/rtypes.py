@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class Kind(enum.IntEnum):
@@ -102,9 +103,10 @@ class RType:
             object.__setattr__(self, "scalar", False)
             object.__setattr__(self, "maybe_na", True)
 
-    @property
+    @cached_property
     def code(self) -> int:
-        """Dense encoding for the precomputed subtype table."""
+        """Dense encoding for the precomputed subtype table (computed on
+        first use, then an instance attribute)."""
         return (int(self.kind) << 2) | (int(self.scalar) << 1) | int(self.maybe_na)
 
     def __le__(self, other: "RType") -> bool:

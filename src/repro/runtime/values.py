@@ -243,12 +243,24 @@ def rtype_quick(value: Any) -> RType:
     inspected for scalars (scanning long vectors on every profile record
     would make the baseline tier quadratic).  Vector NA-ness is therefore
     under-approximated; the optimizer compensates with per-element NA checks
-    in its typed vector loads."""
+    in its typed vector loads.
+
+    Vector types come from per-kind tables of interned RTypes, so the hot
+    feedback and context paths allocate nothing."""
     if isinstance(value, RVector):
-        if len(value.data) == 1:
-            return intern_rtype(value.kind, True, value.data[0] is None)
-        return intern_rtype(value.kind, False, False)
+        d = value.data
+        if len(d) == 1:
+            if d[0] is None:
+                return _QUICK_SCALAR_NA[value.kind]
+            return _QUICK_SCALAR[value.kind]
+        return _QUICK_VECTOR[value.kind]
     return rtype_of(value)
+
+
+#: rtype_quick's tables, indexed by Kind
+_QUICK_VECTOR = tuple(intern_rtype(k, False, False) for k in Kind)
+_QUICK_SCALAR = tuple(intern_rtype(k, True, False) for k in Kind)
+_QUICK_SCALAR_NA = tuple(intern_rtype(k, True, True) for k in Kind)
 
 
 def rtype_of(value: Any) -> RType:
@@ -261,8 +273,6 @@ def rtype_of(value: Any) -> RType:
         return value.rtype()
     if isinstance(value, RBuiltin):
         return value.rtype()
-    from .env import REnvironment
-
     if isinstance(value, REnvironment):
         return RType(Kind.ENV, scalar=True, maybe_na=False)
     return RType(Kind.ANY)
@@ -288,3 +298,8 @@ def mk_cplx(x: Optional[complex]) -> RVector:
 
 def mk_str(x: Optional[str]) -> RVector:
     return RVector(Kind.STR, [x])
+
+
+# imported last: env.py binds its names from this module at its bottom too,
+# so either module may be imported first
+from .env import REnvironment  # noqa: E402
